@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,7 +19,8 @@ type Config struct {
 	// HeartbeatInterval is how often the leader circulates the token.
 	HeartbeatInterval time.Duration
 	// ProbeInterval is how often a leader probes home-list peers outside
-	// its current subclique, seeking merges.
+	// its current subclique, seeking merges. Every member also probes
+	// once at Start.
 	ProbeInterval time.Duration
 	// TokenTimeout is how long a non-leader waits without hearing a token
 	// or view update before declaring a partition and forming its own
@@ -134,6 +136,9 @@ func (m *Member) run() {
 	probe := time.NewTicker(m.cfg.ProbeInterval)
 	defer hb.Stop()
 	defer probe.Stop()
+	// Probe the home list once at Start: a joining member merges with the
+	// pool in one round trip instead of after the first probe tick.
+	m.probeOutsiders()
 	for {
 		select {
 		case <-m.done:
@@ -267,30 +272,10 @@ func (m *Member) commitToken(t *Token) {
 	members := sortedUnion(t.Visited, []string{self})
 	// Remove any member recorded as failed (it may appear in Visited if it
 	// handled the token but later dropped off; Failed wins conservatively).
-	if len(t.Failed) > 0 {
-		fail := make(map[string]bool, len(t.Failed))
-		for _, id := range t.Failed {
-			fail[id] = true
-		}
-		kept := members[:0]
-		for _, id := range members {
-			if !fail[id] || id == self {
-				kept = append(kept, id)
-			}
-		}
-		members = kept
-	}
-	same := len(members) == len(m.view.Members)
-	if same {
-		for i := range members {
-			if members[i] != m.view.Members[i] {
-				same = false
-				break
-			}
-		}
-	}
-	var nv View
-	if same {
+	members = slices.DeleteFunc(members, func(id string) bool {
+		return id != self && slices.Contains(t.Failed, id)
+	})
+	if slices.Equal(members, m.view.Members) {
 		m.lastHeard = time.Now()
 		m.mu.Unlock()
 		if tsp != nil {
@@ -299,7 +284,7 @@ func (m *Member) commitToken(t *Token) {
 		}
 		return
 	}
-	nv = View{Seq: m.view.Seq + 1, Leader: minID(members), Members: members}
+	nv := View{Seq: m.view.Seq + 1, Leader: LeaderID(members), Members: members}
 	m.commitLocked(nv)
 	v := m.view.Clone()
 	m.mu.Unlock()
@@ -466,7 +451,7 @@ func (m *Member) onForeignView(from string, their View, reply bool) {
 		return
 	}
 	union := sortedUnion(mine.Members, their.Members)
-	leader := minID(union)
+	leader := LeaderID(union)
 	seq := mine.Seq
 	if their.Seq > seq {
 		seq = their.Seq

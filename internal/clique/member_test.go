@@ -188,6 +188,25 @@ func TestCliqueForms(t *testing.T) {
 		"5 members should converge to one clique led by m00")
 }
 
+// TestCliqueJoinLatency is the join-latency regression: members started
+// one after another merge through the probes each sends at Start, not on
+// the first probe tick, which here is an hour away.
+func TestCliqueJoinLatency(t *testing.T) {
+	net := newTestNet(t)
+	ids := []string{"m00", "m01", "m02"}
+	var members []*Member
+	for i, id := range ids {
+		cfg := fastConfig(ids[:i+1])
+		cfg.ProbeInterval = time.Hour
+		m := New(cfg, net.Endpoint(id))
+		m.Start()
+		t.Cleanup(m.Stop)
+		members = append(members, m)
+	}
+	eventually(t, time.Second, func() bool { return agreeOn(members, ids) },
+		"3 members should reach the full view within 1s without a probe tick")
+}
+
 func TestCliqueDetectsKilledMember(t *testing.T) {
 	net, members, ids := startClique(t, 4)
 	eventually(t, 3*time.Second, func() bool { return agreeOn(members, ids) }, "initial formation")
@@ -356,11 +375,11 @@ func TestSortedUnionAndMinID(t *testing.T) {
 	if len(u) != 3 || u[0] != "a" || u[1] != "b" || u[2] != "c" {
 		t.Fatalf("union = %v", u)
 	}
-	if minID(u) != "a" {
-		t.Fatalf("minID = %q", minID(u))
+	if LeaderID(u) != "a" {
+		t.Fatalf("LeaderID = %q", LeaderID(u))
 	}
-	if minID(nil) != "" {
-		t.Fatal("minID(nil) must be empty")
+	if LeaderID(nil) != "" {
+		t.Fatal("LeaderID(nil) must be empty")
 	}
 }
 

@@ -15,7 +15,7 @@ package clique
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"everyware/internal/wire"
 )
@@ -56,14 +56,7 @@ func (v View) Clone() View {
 }
 
 // Contains reports whether id is a member of v.
-func (v View) Contains(id string) bool {
-	for _, m := range v.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
+func (v View) Contains(id string) bool { return slices.Contains(v.Members, id) }
 
 // Dominates reports whether v supersedes w in the configuration order.
 func (v View) Dominates(w View) bool {
@@ -75,15 +68,7 @@ func (v View) Dominates(w View) bool {
 
 // Equal reports whether two views are identical.
 func (v View) Equal(w View) bool {
-	if v.Seq != w.Seq || v.Leader != w.Leader || len(v.Members) != len(w.Members) {
-		return false
-	}
-	for i := range v.Members {
-		if v.Members[i] != w.Members[i] {
-			return false
-		}
-	}
-	return true
+	return v.Seq == w.Seq && v.Leader == w.Leader && slices.Equal(v.Members, w.Members)
 }
 
 // Token is the circulating membership probe. The leader originates it; each
@@ -114,22 +99,9 @@ type Message struct {
 
 // sortedUnion returns the sorted union of two ID sets.
 func sortedUnion(a, b []string) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	out := make([]string, 0, len(a)+len(b))
-	for _, s := range a {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // LeaderID returns the smallest ID in ids ("" if empty) — the clique
@@ -140,14 +112,5 @@ func LeaderID(ids []string) string {
 	if len(ids) == 0 {
 		return ""
 	}
-	m := ids[0]
-	for _, s := range ids[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	return m
+	return slices.Min(ids)
 }
-
-// minID is the protocol-internal alias for LeaderID.
-func minID(ids []string) string { return LeaderID(ids) }

@@ -12,7 +12,8 @@ import (
 
 // Agent is the component-side half of the state exchange service. An
 // application component embeds an Agent in its lingua franca server; the
-// Agent answers Gossip MsgGetState polls with the component's current
+// Agent offers each local change to the Gossips its key is registered
+// with, answers Gossip MsgGetState polls with the component's current
 // state and applies MsgPutState pushes, invoking the component's
 // registered state-update method — the "export a state-update method for
 // each message type" requirement of section 2.3.
@@ -24,6 +25,10 @@ type Agent struct {
 	cmp      map[string]Comparator
 	onUpdate map[string]func(Stamped)
 	counter  uint64
+	// gossips holds each key's Gossips; routes, how to reach each one.
+	gossips map[string]map[string]bool
+	routes  map[string]route
+	offers  *sender[string, fresh]
 
 	// Now is injectable for simulation and tests.
 	Now func() time.Time
@@ -37,8 +42,11 @@ func NewAgent(srv *wire.Server, addr string) *Agent {
 		store:    make(map[string]Stamped),
 		cmp:      make(map[string]Comparator),
 		onUpdate: make(map[string]func(Stamped)),
+		gossips:  make(map[string]map[string]bool),
+		routes:   make(map[string]route),
 		Now:      time.Now,
 	}
+	a.offers = newSender[string, fresh](fresher, a.offer)
 	srv.Register(MsgGetState, wire.HandlerFunc(a.handleGet))
 	srv.Register(MsgPutState, wire.HandlerFunc(a.handlePut))
 	return a
@@ -62,8 +70,8 @@ func (a *Agent) Track(key, comparator string, onUpdate func(Stamped)) error {
 }
 
 // Set installs a new local version of key, bumping the agent's update
-// counter. The new version spreads to peer components on the next Gossip
-// synchronization round.
+// counter, and offers it to the Gossips key is registered with, which
+// push it on to the key's other holders.
 func (a *Agent) Set(key string, data []byte) Stamped {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -76,30 +84,71 @@ func (a *Agent) Set(key string, data []byte) Stamped {
 		Data:    append([]byte(nil), data...),
 	}
 	a.store[key] = s
+	a.offerLocked(s)
 	return s
 }
 
 // SetStamped installs a pre-stamped version verbatim if it is fresher than
 // the current copy (used when state freshness is domain-defined, e.g.
-// "largest counter example wins" under the bytes comparator).
+// "largest counter example wins" under the bytes comparator), and offers
+// an installed version as Set does.
 func (a *Agent) SetStamped(s Stamped) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.installLocked(s)
+	if !a.installLocked(s) {
+		return false
+	}
+	a.offerLocked(s)
+	return true
+}
+
+// cmpLocked returns key's comparator (the counter rule if untracked).
+func (a *Agent) cmpLocked(key string) Comparator {
+	if cmp := a.cmp[key]; cmp != nil {
+		return cmp
+	}
+	return comparator(CmpCounter)
 }
 
 // installLocked applies s if fresher; returns whether it was installed.
 func (a *Agent) installLocked(s Stamped) bool {
-	cmp := a.cmp[s.Key]
-	if cmp == nil {
-		cmp, _ = LookupComparator(CmpCounter)
-	}
 	cur, ok := a.store[s.Key]
-	if ok && cmp(s, cur) <= 0 {
+	if ok && a.cmpLocked(s.Key)(s, cur) <= 0 {
 		return false
 	}
 	a.store[s.Key] = s
 	return true
+}
+
+// offerLocked queues s for every Gossip its key is registered with.
+// Offering under a.mu keeps each Gossip's queue in install order.
+func (a *Agent) offerLocked(s Stamped) {
+	for g := range a.gossips[s.Key] {
+		a.offers.add(g, s.Key, fresh{Stamped: s, cmp: a.cmpLocked(s.Key)})
+	}
+}
+
+// route is the client and time-out a registration with one Gossip used.
+type route struct {
+	client  *wire.Client
+	timeout time.Duration
+}
+
+// offer is the offer sender's send: one pipelined MsgOffer per copy to
+// gossip g. A failed offer is dropped; the key's sync round carries it.
+func (a *Agent) offer(g string, batch []fresh) {
+	a.mu.Lock()
+	rt := a.routes[g]
+	a.mu.Unlock()
+	calls := make([]*wire.PendingCall, len(batch))
+	for i, c := range batch {
+		calls[i] = rt.client.Go(g, wire.NewRequest(MsgOffer, c.Stamped), rt.timeout)
+	}
+	for _, call := range calls {
+		if resp, err := call.Wait(); err == nil {
+			resp.Release()
+		}
+	}
 }
 
 // Get returns the current local copy of key.
@@ -126,17 +175,6 @@ func (a *Agent) Tracked(prefix string) []Stamped {
 	return out
 }
 
-// Keys returns all locally held state keys.
-func (a *Agent) Keys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.store))
-	for k := range a.store {
-		out = append(out, k)
-	}
-	return out
-}
-
 func (a *Agent) handleGet(_ string, req *wire.Packet) (*wire.Packet, error) {
 	d := wire.NewDecoder(req.Payload)
 	key, err := d.String()
@@ -153,9 +191,11 @@ func (a *Agent) handleGet(_ string, req *wire.Packet) (*wire.Packet, error) {
 	return wire.Reply(MsgGetState, s), nil
 }
 
+// handlePut installs a pushed copy if it is fresher, and never offers it
+// on: the pushing Gossip already reaches every holder.
 func (a *Agent) handlePut(_ string, req *wire.Packet) (*wire.Packet, error) {
-	s, err := DecodeStamped(req.Payload)
-	if err != nil {
+	var s Stamped
+	if err := req.Decode(&s); err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
@@ -177,7 +217,17 @@ func (a *Agent) Register(client *wire.Client, gossipAddr, key, comparator string
 		return fmt.Errorf("gossip: unknown comparator %q", comparator)
 	}
 	reg := Registration{Addr: a.addr, Key: key, Comparator: comparator}
-	return client.CallMsg(gossipAddr, MsgRegister, reg, nil, timeout)
+	if err := client.CallMsg(gossipAddr, MsgRegister, reg, nil, timeout); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.gossips[key] == nil {
+		a.gossips[key] = make(map[string]bool)
+	}
+	a.gossips[key][gossipAddr] = true
+	a.routes[gossipAddr] = route{client: client, timeout: timeout}
+	return nil
 }
 
 // Deregister withdraws this component's registration for key at a single
@@ -185,6 +235,9 @@ func (a *Agent) Register(client *wire.Client, gossipAddr, key, comparator string
 // members (a deregistered component stops answering polls), but a clean
 // exit avoids the needless retries in the meantime.
 func (a *Agent) Deregister(client *wire.Client, gossipAddr, key string, timeout time.Duration) error {
+	a.mu.Lock()
+	delete(a.gossips[key], gossipAddr)
+	a.mu.Unlock()
 	reg := Registration{Addr: a.addr, Key: key}
 	return client.CallMsg(gossipAddr, MsgDeregister, reg, nil, timeout)
 }

@@ -8,8 +8,8 @@ func BenchmarkStampedEncodeDecode(b *testing.B) {
 	s := Stamped{Key: "ramsey/best", Counter: 42, Unix: 123456789, Origin: "host:9000", Data: make([]byte, 256)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		enc := EncodeStamped(s)
-		if _, err := DecodeStamped(enc); err != nil {
+		enc := encode(s)
+		if _, err := decode[Stamped](enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // Property: protocol decoders survive arbitrary bytes.
 func TestQuickDecodersNeverPanic(t *testing.T) {
 	f := func(raw []byte) bool {
-		DecodeStamped(raw)
-		DecodeRegistration(raw)
-		DecodeRegistrations(raw)
+		decode[Stamped](raw)
+		decode[Registration](raw)
+		decode[RegTable](raw)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -23,7 +23,7 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 func TestDecodeRegistrationsRejectsHugeCount(t *testing.T) {
 	var e wire.Encoder
 	e.PutUint32(1 << 30) // claims a billion registrations in 4 bytes
-	if _, err := DecodeRegistrations(e.Bytes()); err == nil {
+	if _, err := decode[RegTable](e.Bytes()); err == nil {
 		t.Fatal("huge count must be rejected")
 	}
 }

@@ -2,8 +2,10 @@ package gossip
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,9 +61,25 @@ func newTestGossip(t *testing.T, wellKnown ...string) *Server {
 	return g
 }
 
+// encode and decode run a message through the lingua franca codec.
+func encode(m wire.Message) []byte {
+	var e wire.Encoder
+	m.EncodeWire(&e)
+	return e.Bytes()
+}
+
+func decode[T any, P interface {
+	*T
+	wire.Decodable
+}](p []byte) (T, error) {
+	var v T
+	err := P(&v).DecodeWire(wire.NewDecoder(p))
+	return v, err
+}
+
 func TestStampedRoundTrip(t *testing.T) {
 	s := Stamped{Key: "k", Counter: 9, Unix: 123456789, Origin: "a:1", Data: []byte("payload")}
-	got, err := DecodeStamped(EncodeStamped(s))
+	got, err := decode[Stamped](encode(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +92,7 @@ func TestStampedRoundTrip(t *testing.T) {
 func TestQuickStampedRoundTrip(t *testing.T) {
 	f := func(key string, counter uint64, unix int64, origin string, data []byte) bool {
 		s := Stamped{Key: key, Counter: counter, Unix: unix, Origin: origin, Data: data}
-		got, err := DecodeStamped(EncodeStamped(s))
+		got, err := decode[Stamped](encode(s))
 		return err == nil && got.Key == key && got.Counter == counter &&
 			got.Unix == unix && got.Origin == origin && bytes.Equal(got.Data, data)
 	}
@@ -88,7 +106,7 @@ func TestRegistrationsRoundTrip(t *testing.T) {
 		{Addr: "a:1", Key: "k1", Comparator: CmpCounter},
 		{Addr: "b:2", Key: "k2", Comparator: CmpBytes},
 	}
-	got, err := DecodeRegistrations(EncodeRegistrations(rs))
+	got, err := decode[RegTable](encode(RegTable(rs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,43 +418,212 @@ func TestDeregisterRemovesRegistration(t *testing.T) {
 	}
 }
 
-// TestShareCoalescerMergesPerPeer drives the registration-share
-// coalescer directly (no network): shares buffer per destination peer,
-// merge last-write-wins per (addr, key) preserving arrival order, drain
-// in sorted peer order, and drain exactly once.
+// batchLog records a sender's sends; the first send to each destination
+// blocks until release is closed, so the test controls what arrives while
+// a send is in flight.
+type batchLog struct {
+	mu      sync.Mutex
+	batches map[string][][]Registration
+	started chan string
+	release chan struct{}
+}
+
+func (l *batchLog) send(dest string, batch []Registration) {
+	l.mu.Lock()
+	first := len(l.batches[dest]) == 0
+	l.batches[dest] = append(l.batches[dest], batch)
+	l.mu.Unlock()
+	if first {
+		l.started <- dest
+		<-l.release
+	}
+}
+
+// idle reports whether every destination of s has drained.
+func idle[K comparable, V any](s *sender[K, V]) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.outs) == 0
+}
+
+// TestShareCoalescerMergesPerPeer drives the registration-share sender
+// directly (no network): shares queue per destination peer, merge
+// last-write-wins per (addr, key) keeping first-arrival order, keep
+// merging while a send to the peer is in flight, and drain exactly once.
 func TestShareCoalescerMergesPerPeer(t *testing.T) {
+	log := &batchLog{
+		batches: make(map[string][][]Registration),
+		started: make(chan string, 2),
+		release: make(chan struct{}),
+	}
 	s := NewServer(ServerConfig{})
-	view := clique.View{Members: []string{"peer-b:1", "peer-a:1", "self"}}
 	s.addr = "self"
+	s.shares = newSender[regKey, Registration](func(_, r Registration) Registration { return r }, log.send)
+	view := clique.View{Members: []string{"peer-b:1", "peer-a:1", "self"}}
 
 	regA := Registration{Addr: "comp1:1", Key: "app/a", Comparator: CmpCounter}
 	regB := Registration{Addr: "comp2:1", Key: "app/b", Comparator: CmpCounter}
 	regA2 := Registration{Addr: "comp1:1", Key: "app/a", Comparator: CmpBytes}
+	regC := Registration{Addr: "comp3:1", Key: "app/c", Comparator: CmpCounter}
 
+	// An idle peer ships at once: the first share goes out alone.
+	s.enqueueShare(view, regC)
+	started := map[string]bool{<-log.started: true, <-log.started: true}
+	if !started["peer-a:1"] || !started["peer-b:1"] || started["self"] {
+		t.Fatalf("first sends went to %v, want peer-a:1 and peer-b:1 only", started)
+	}
+	// While those sends are in flight, later shares merge per (addr, key).
 	s.enqueueShare(view, regA)
 	s.enqueueShare(view, regB)
 	s.enqueueShare(view, regA2) // same (addr, key) as regA: supersedes it
+	close(log.release)
+	eventually(t, 2*time.Second, func() bool { return idle(s.shares) }, "shares drained")
 
-	ships := s.takeShares()
-	if len(ships) != 2 {
-		t.Fatalf("shipments = %d, want 2 (one per non-self peer)", len(ships))
-	}
-	if ships[0].peer != "peer-a:1" || ships[1].peer != "peer-b:1" {
-		t.Fatalf("peers = %q, %q; want sorted peer-a:1, peer-b:1", ships[0].peer, ships[1].peer)
-	}
-	for _, sh := range ships {
-		if len(sh.table) != 2 {
-			t.Fatalf("table for %s has %d entries, want 2 (coalesced)", sh.peer, len(sh.table))
+	for _, peer := range []string{"peer-a:1", "peer-b:1"} {
+		got := log.batches[peer]
+		if len(got) != 2 {
+			t.Fatalf("%s got %d sends, want 2 (each share shipped exactly once)", peer, len(got))
+		}
+		if len(got[0]) != 1 || got[0][0] != regC {
+			t.Fatalf("%s first send = %+v, want [regC]", peer, got[0])
 		}
 		// Last write wins in the original slot: regA2 replaced regA.
-		if sh.table[0] != regA2 || sh.table[1] != regB {
-			t.Fatalf("table for %s = %+v, want [regA2 regB]", sh.peer, sh.table)
+		if len(got[1]) != 2 || got[1][0] != regA2 || got[1][1] != regB {
+			t.Fatalf("%s second send = %+v, want [regA2 regB]", peer, got[1])
 		}
 	}
-	if got := s.metrics.Counter("gossip.share.coalesced").Value(); got != 2 {
-		t.Fatalf("coalesced counter = %d, want 2 (one per peer)", got)
+	if len(log.batches) != 2 {
+		t.Fatalf("sends went to %d destinations, want 2", len(log.batches))
 	}
-	if again := s.takeShares(); len(again) != 0 {
-		t.Fatalf("second take returned %d shipments, want 0", len(again))
+}
+
+// TestSenderKeepsFreshestCopy checks the push merge rule: of two copies of
+// one key queued while a send is in flight, the fresher under the key's
+// comparator ships, whatever their arrival order.
+func TestSenderKeepsFreshestCopy(t *testing.T) {
+	release := make(chan struct{})
+	sent := make(chan []fresh, 2)
+	s := newSender[string, fresh](fresher, func(_ string, b []fresh) {
+		sent <- b
+		<-release
+	})
+	cmp, _ := LookupComparator(CmpCounter)
+	s.add("h", "k", fresh{Stamped: Stamped{Key: "k", Counter: 1}, cmp: cmp})
+	<-sent // in flight
+	s.add("h", "k", fresh{Stamped: Stamped{Key: "k", Counter: 3}, cmp: cmp})
+	s.add("h", "k", fresh{Stamped: Stamped{Key: "k", Counter: 2}, cmp: cmp})
+	close(release)
+	if b := <-sent; len(b) != 1 || b[0].Counter != 3 {
+		t.Fatalf("second send = %+v, want only counter 3", b)
+	}
+	eventually(t, 2*time.Second, func() bool { return idle(s) }, "sender drained")
+}
+
+// newGossipWith starts a Gossip whose only state exchange is by push:
+// sync rounds, heartbeats and probe ticks are an hour apart.
+func newGossipWith(t *testing.T, wellKnown ...string) *Server {
+	t.Helper()
+	g := NewServer(ServerConfig{
+		ListenAddr:   "127.0.0.1:0",
+		WellKnown:    wellKnown,
+		SyncInterval: time.Hour,
+	})
+	if _, err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	return g
+}
+
+// TestSetPushesToHolderAtOtherGossip checks the push path end to end: a
+// Set on a component registered at one Gossip installs within 1s on a
+// holder registered at the other, with no sync round, and the holder
+// that installed by push offers nothing of its own.
+func TestSetPushesToHolderAtOtherGossip(t *testing.T) {
+	g1 := newGossipWith(t)
+	g2 := newGossipWith(t, g1.Addr())
+	eventually(t, time.Second, func() bool {
+		return len(g1.PoolView().Members) == 2 && len(g2.PoolView().Members) == 2
+	}, "pool formation from the probe at Start")
+	client := wire.NewClient(time.Second)
+	defer client.Close()
+	const key = "app/pushed"
+	c1 := newTestComponent(t)
+	c2 := newTestComponent(t)
+	installed := make(chan Stamped, 1)
+	if err := c1.agent.Track(key, CmpCounter, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.agent.Track(key, CmpCounter, func(s Stamped) { installed <- s }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.agent.Register(client, g1.Addr(), key, CmpCounter, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.agent.Register(client, g2.Addr(), key, CmpCounter, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, time.Second, func() bool {
+		return len(g1.Registrations()) == 2 && len(g2.Registrations()) == 2
+	}, "registrations shared across the pool")
+
+	c1.agent.Set(key, []byte("pushed"))
+	select {
+	case s := <-installed:
+		if string(s.Data) != "pushed" {
+			t.Fatalf("installed %q, want %q", s.Data, "pushed")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Set did not reach the holder at the other Gossip within 1s")
+	}
+	if !idle(c2.agent.offers) {
+		t.Fatal("holder queued an offer for a copy it installed by push")
+	}
+	if n := g2.Metrics().Counter("gossip.offer.received").Value(); n != 0 {
+		t.Fatalf("holder's Gossip received %d offers, want 0", n)
+	}
+	if n := g1.Metrics().Counter("gossip.offer.relayed").Value(); n != 1 {
+		t.Fatalf("origin's Gossip relayed %d offers, want 1", n)
+	}
+	if n := g1.Metrics().Counter("gossip.sync.rounds").Value(); n != 0 {
+		t.Fatalf("%d sync rounds ran, want 0: the push alone must deliver", n)
+	}
+}
+
+// TestOfferToOlderGossipFallsBackToSync models a Gossip that predates
+// MsgOffer: the offer fails once, is not retried, and the sync round
+// still converges the holders.
+func TestOfferToOlderGossipFallsBackToSync(t *testing.T) {
+	g := newTestGossip(t)
+	var offers atomic.Int64
+	g.srv.Register(MsgOffer, wire.HandlerFunc(func(string, *wire.Packet) (*wire.Packet, error) {
+		offers.Add(1)
+		return nil, errors.New("no handler for message type")
+	}))
+	client := wire.NewClient(time.Second)
+	defer client.Close()
+	const key = "app/older"
+	c1 := newTestComponent(t)
+	c2 := newTestComponent(t)
+	for _, c := range []*testComponent{c1, c2} {
+		if err := c.agent.Track(key, CmpCounter, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.agent.Register(client, g.Addr(), key, CmpCounter, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.agent.Set(key, []byte("via-sync"))
+	eventually(t, 5*time.Second, func() bool {
+		s, ok := c2.agent.Get(key)
+		return ok && string(s.Data) == "via-sync"
+	}, "the sync round should deliver what the offer could not")
+	eventually(t, 2*time.Second, func() bool { return idle(c1.agent.offers) }, "offer sender drained")
+	rounds := g.Metrics().Counter("gossip.sync.rounds").Value()
+	eventually(t, 2*time.Second, func() bool {
+		return g.Metrics().Counter("gossip.sync.rounds").Value() >= rounds+3
+	}, "further sync rounds")
+	if n := offers.Load(); n != 1 {
+		t.Fatalf("older Gossip saw %d offers, want 1 (no retry loop)", n)
 	}
 }

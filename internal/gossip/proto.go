@@ -19,27 +19,28 @@ const (
 	// MsgShareReg replicates registration tables between Gossips
 	// (payload: []Registration).
 	MsgShareReg wire.MsgType = 23
-	// MsgPoolInfo reports a Gossip's current pool view and registration
-	// count (diagnostics; payload: none).
-	MsgPoolInfo wire.MsgType = 24
 	// MsgDeregister removes a component's registration cleanly
 	// (payload: Registration).
 	MsgDeregister wire.MsgType = 25
+	// MsgOffer hands a Gossip a component's new local copy of a key, for
+	// the Gossip to push at once to every holder of the key but the
+	// copy's origin (payload: Stamped).
+	MsgOffer wire.MsgType = 26
 )
 
 // Every Gossip message is safe under duplicate delivery: registrations and
-// deregistrations are keyed set operations, state pushes carry version
-// counters (stale copies are discarded), and the rest are reads. All may
-// therefore be retransmitted when a call's outcome is ambiguous.
+// deregistrations are keyed set operations, offers and state pushes carry
+// version counters (stale copies are discarded), and the rest are reads.
+// All may therefore be retransmitted when a call's outcome is ambiguous.
 func init() {
 	wire.RegisterIdempotent(MsgRegister, MsgGetState, MsgPutState,
-		MsgShareReg, MsgPoolInfo, MsgDeregister)
+		MsgShareReg, MsgDeregister, MsgOffer)
 	wire.RegisterMsgName(MsgRegister, "gossip.register")
 	wire.RegisterMsgName(MsgGetState, "gossip.get_state")
 	wire.RegisterMsgName(MsgPutState, "gossip.put_state")
 	wire.RegisterMsgName(MsgShareReg, "gossip.share_reg")
-	wire.RegisterMsgName(MsgPoolInfo, "gossip.pool_info")
 	wire.RegisterMsgName(MsgDeregister, "gossip.deregister")
+	wire.RegisterMsgName(MsgOffer, "gossip.offer")
 }
 
 // EncodeWire implements wire.Message: the Stamped encodes in place into a
@@ -71,21 +72,6 @@ func (s *Stamped) DecodeWire(d *wire.Decoder) error {
 	}
 	s.Data, err = d.Bytes()
 	return err
-}
-
-// EncodeStamped serializes a Stamped value into a fresh buffer (non-pooled
-// callers and tests; the hot path encodes via EncodeWire).
-func EncodeStamped(s Stamped) []byte {
-	var e wire.Encoder
-	s.EncodeWire(&e)
-	return e.Bytes()
-}
-
-// DecodeStamped parses a Stamped value.
-func DecodeStamped(p []byte) (Stamped, error) {
-	var s Stamped
-	err := s.DecodeWire(wire.NewDecoder(p))
-	return s, err
 }
 
 // EncodeWire implements wire.Message for a single Registration.
@@ -136,32 +122,4 @@ func (rs *RegTable) DecodeWire(d *wire.Decoder) error {
 	}
 	*rs = out
 	return nil
-}
-
-// EncodeRegistration serializes one Registration.
-func EncodeRegistration(r Registration) []byte {
-	var e wire.Encoder
-	r.EncodeWire(&e)
-	return e.Bytes()
-}
-
-// DecodeRegistration parses one Registration.
-func DecodeRegistration(p []byte) (Registration, error) {
-	var r Registration
-	err := r.DecodeWire(wire.NewDecoder(p))
-	return r, err
-}
-
-// EncodeRegistrations serializes a registration table.
-func EncodeRegistrations(rs []Registration) []byte {
-	var e wire.Encoder
-	RegTable(rs).EncodeWire(&e)
-	return e.Bytes()
-}
-
-// DecodeRegistrations parses a registration table.
-func DecodeRegistrations(p []byte) ([]Registration, error) {
-	var rs RegTable
-	err := rs.DecodeWire(wire.NewDecoder(p))
-	return rs, err
 }

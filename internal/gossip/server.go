@@ -87,33 +87,9 @@ type regKey struct {
 	key  string
 }
 
-// Share-coalescing tuning: registration shares bound for the same peer
-// merge into a single MsgShareReg table per flush window instead of one
-// call per registration. The idiom mirrors the scale-layer report
-// coalescer; it is reimplemented locally because scale imports gossip.
-const (
-	// shareMaxBatch flushes a peer's buffer immediately once it holds
-	// this many distinct registrations.
-	shareMaxBatch = 64
-	// shareMaxDelay bounds how long a buffered share waits for company.
-	shareMaxDelay = 25 * time.Millisecond
-)
-
-// shareBuf is one peer's pending registration shares, last-write-wins
-// per (addr, key) with insertion order preserved.
-type shareBuf struct {
-	order []regKey
-	byKey map[regKey]Registration
-}
-
-// shipment is one drained buffer: the merged table bound for one peer.
-type shipment struct {
-	peer  string
-	table RegTable
-}
-
 // Server is one Gossip process: a member of the distributed state exchange
-// pool. It polls its responsible components for fresh state, pushes
+// pool. It relays the copies components offer to the other holders of
+// their keys, polls its responsible components for fresh state, pushes
 // updates to stale ones, evicts dead components, and uses
 // dynamically-benchmarked response-time forecasts to set its message
 // time-outs (the paper's dynamic time-out discovery).
@@ -132,10 +108,16 @@ type Server struct {
 	mu       sync.Mutex
 	regs     map[regKey]Registration
 	failures map[regKey]int
-	rounds   uint64
+	// relayed is the last copy of each key relayed from an offer.
+	relayed map[string]Stamped
+	// closed stops new sends; sends counts those in flight.
+	closed bool
+	sends  sync.WaitGroup
 
-	shareMu      sync.Mutex
-	sharePending map[string]*shareBuf
+	// shares carries registrations to pool peers, last write wins per
+	// (addr, key); pushes carries relayed copies to holders.
+	shares *sender[regKey, Registration]
+	pushes *sender[string, fresh]
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -155,21 +137,23 @@ func NewServer(cfg ServerConfig) *Server {
 		Tracer:      cfg.Tracer,
 	})
 	s := &Server{
-		cfg:          cfg,
-		svc:          svc,
-		srv:          svc.Server(),
-		client:       svc.Client(),
-		metrics:      svc.Metrics(),
-		regs:         make(map[regKey]Registration),
-		failures:     make(map[regKey]int),
-		sharePending: make(map[string]*shareBuf),
-		timeout:      forecast.NewTimeoutPolicy(forecast.NewRegistry()),
-		done:         make(chan struct{}),
+		cfg:      cfg,
+		svc:      svc,
+		srv:      svc.Server(),
+		client:   svc.Client(),
+		metrics:  svc.Metrics(),
+		regs:     make(map[regKey]Registration),
+		failures: make(map[regKey]int),
+		relayed:  make(map[string]Stamped),
+		timeout:  forecast.NewTimeoutPolicy(forecast.NewRegistry()),
+		done:     make(chan struct{}),
 	}
+	s.shares = newSender[regKey, Registration](func(_, r Registration) Registration { return r }, s.share)
+	s.pushes = newSender[string, fresh](fresher, s.push)
 	svc.Handle(MsgRegister, wire.HandlerFunc(s.handleRegister))
 	svc.Handle(MsgDeregister, wire.HandlerFunc(s.handleDeregister))
 	svc.Handle(MsgShareReg, wire.HandlerFunc(s.handleShareReg))
-	svc.Handle(MsgPoolInfo, wire.HandlerFunc(s.handlePoolInfo))
+	svc.Handle(MsgOffer, wire.HandlerFunc(s.handleOffer))
 	return s
 }
 
@@ -196,9 +180,8 @@ func (s *Server) Start() (string, error) {
 		Tracer:            s.cfg.Tracer,
 	}, s.tr)
 	s.member.Start()
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.syncLoop()
-	go s.shareLoop()
 	return s.addr, nil
 }
 
@@ -214,6 +197,10 @@ func (s *Server) Close() {
 	}
 	close(s.done)
 	s.wg.Wait()
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.sends.Wait()
 	if s.member != nil {
 		s.member.Stop()
 	}
@@ -247,22 +234,21 @@ func (s *Server) Registrations() []Registration {
 }
 
 func (s *Server) handleRegister(_ string, req *wire.Packet) (*wire.Packet, error) {
-	r, err := DecodeRegistration(req.Payload)
-	if err != nil {
+	var r Registration
+	if err := req.Decode(&r); err != nil {
 		return nil, err
 	}
 	s.addRegistration(r)
 	// Replicate the registration across the pool (volatile-but-replicated
-	// state), coalesced per destination: a registration burst becomes one
-	// merged MsgShareReg table per peer per flush window instead of one
-	// call each. The handler only buffers; the share loop ships.
+	// state). The handler only queues; a registration burst merges into
+	// one MsgShareReg table per peer while the previous one is in flight.
 	s.enqueueShare(s.member.View(), r)
 	return wire.Reply(MsgRegister, nil), nil
 }
 
 func (s *Server) handleDeregister(_ string, req *wire.Packet) (*wire.Packet, error) {
-	r, err := DecodeRegistration(req.Payload)
-	if err != nil {
+	var r Registration
+	if err := req.Decode(&r); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -275,32 +261,14 @@ func (s *Server) handleDeregister(_ string, req *wire.Packet) (*wire.Packet, err
 }
 
 func (s *Server) handleShareReg(_ string, req *wire.Packet) (*wire.Packet, error) {
-	rs, err := DecodeRegistrations(req.Payload)
-	if err != nil {
+	var rs RegTable
+	if err := req.Decode(&rs); err != nil {
 		return nil, err
 	}
 	for _, r := range rs {
 		s.addRegistration(r)
 	}
 	return wire.Reply(MsgShareReg, nil), nil
-}
-
-func (s *Server) handlePoolInfo(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	view := s.member.View()
-	s.mu.Lock()
-	n := len(s.regs)
-	rounds := s.rounds
-	s.mu.Unlock()
-	return wire.Reply(MsgPoolInfo, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint64(view.Seq)
-		e.PutString(view.Leader)
-		e.PutUint32(uint32(len(view.Members)))
-		for _, m := range view.Members {
-			e.PutString(m)
-		}
-		e.PutUint32(uint32(n))
-		e.PutUint64(rounds)
-	})), nil
 }
 
 func (s *Server) addRegistration(r Registration) {
@@ -328,7 +296,10 @@ func (s *Server) syncLoop() {
 			// table across the pool, so Gossips that joined after a
 			// component registered still learn about it.
 			if round%antiEntropyEvery == 0 {
-				s.ShareRegistrations()
+				view := s.member.View()
+				for _, r := range s.Registrations() {
+					s.enqueueShare(view, r)
+				}
 			}
 		}
 	}
@@ -338,119 +309,101 @@ func (s *Server) syncLoop() {
 // registration-table exchanges.
 const antiEntropyEvery = 5
 
-// ShareRegistrations pushes the full registration table to every pool
-// peer (best effort). The table rides the share coalescer — it merges
-// with any buffered single-registration shares, and the flush ships one
-// pipelined MsgShareReg per peer. Exposed for tests.
-func (s *Server) ShareRegistrations() {
-	regs := s.Registrations()
-	if len(regs) == 0 {
-		return
-	}
-	view := s.member.View()
-	for _, r := range regs {
-		s.enqueueShare(view, r)
-	}
-	s.flushShares()
-}
-
-// enqueueShare buffers r for every pool peer, coalescing
-// last-write-wins per (addr, key). A peer whose buffer reaches
-// shareMaxBatch flushes immediately in the background; the rest drain on
-// the share loop's ticker within shareMaxDelay.
+// enqueueShare queues r for every pool peer but this Gossip.
 func (s *Server) enqueueShare(view clique.View, r Registration) {
-	k := regKey{addr: r.Addr, key: r.Key}
-	var full []string
-	s.shareMu.Lock()
 	for _, peer := range view.Members {
-		if peer == s.addr {
-			continue
+		if peer != s.addr {
+			s.shares.add(peer, regKey{addr: r.Addr, key: r.Key}, r)
 		}
-		b := s.sharePending[peer]
-		if b == nil {
-			b = &shareBuf{byKey: make(map[regKey]Registration)}
-			s.sharePending[peer] = b
-		}
-		if _, dup := b.byKey[k]; dup {
-			s.metrics.Counter("gossip.share.coalesced").Inc()
-		} else {
-			b.order = append(b.order, k)
-		}
-		b.byKey[k] = r
-		if len(b.order) >= shareMaxBatch {
-			full = append(full, peer)
-		}
-	}
-	s.shareMu.Unlock()
-	if len(full) > 0 {
-		go s.flushShares(full...)
 	}
 }
 
-// takeShares drains the named peers' buffers (every peer when none are
-// named) and returns the merged table bound for each, in sorted peer
-// order so delivery is deterministic.
-func (s *Server) takeShares(peers ...string) []shipment {
-	s.shareMu.Lock()
-	defer s.shareMu.Unlock()
-	if len(peers) == 0 {
-		peers = make([]string, 0, len(s.sharePending))
-		for p := range s.sharePending {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-	}
-	out := make([]shipment, 0, len(peers))
-	for _, p := range peers {
-		b := s.sharePending[p]
-		if b == nil || len(b.order) == 0 {
-			continue
-		}
-		table := make(RegTable, 0, len(b.order))
-		for _, k := range b.order {
-			table = append(table, b.byKey[k])
-		}
-		delete(s.sharePending, p)
-		out = append(out, shipment{peer: p, table: table})
-	}
-	return out
-}
-
-// flushShares ships each drained buffer as one MsgShareReg, pipelined:
-// every request is issued before any reply is awaited, so a slow peer
-// does not serialize the fan-out. Best effort — a failed share is
-// dropped and the next anti-entropy round re-replicates the full table.
-func (s *Server) flushShares(peers ...string) {
-	ships := s.takeShares(peers...)
-	if len(ships) == 0 {
+// share is the share sender's send: one MsgShareReg table to peer. The
+// next anti-entropy round repairs a failed share.
+func (s *Server) share(peer string, table []Registration) {
+	if !s.startSend() {
 		return
 	}
-	s.metrics.Counter("gossip.share.flushes").Add(int64(len(ships)))
-	calls := make([]*wire.PendingCall, len(ships))
-	for i, sh := range ships {
-		calls[i] = s.client.Go(sh.peer, wire.NewRequest(MsgShareReg, sh.table), s.cfg.CallTimeout)
-	}
-	for _, call := range calls {
-		if resp, err := call.Wait(); err == nil {
-			resp.Release()
-		}
+	defer s.sends.Done()
+	if resp, err := s.client.Go(peer, wire.NewRequest(MsgShareReg, RegTable(table)), s.cfg.CallTimeout).Wait(); err == nil {
+		resp.Release()
 	}
 }
 
-// shareLoop drains buffered registration shares every shareMaxDelay and
-// performs a final best-effort drain on shutdown.
-func (s *Server) shareLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(shareMaxDelay)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.done:
-			s.flushShares()
-			return
-		case <-tick.C:
-			s.flushShares()
+// startSend counts one outbound send in, or refuses once Close has begun,
+// so Close can wait for the sends in flight and none start after.
+func (s *Server) startSend() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.sends.Add(1)
+	}
+	return !s.closed
+}
+
+// handleOffer relays a component's new copy to every other holder of its
+// key at once, instead of leaving it to the key's next sync round. Only a
+// copy fresher than the last one relayed for the key goes out, so a
+// duplicate or stale offer costs nothing.
+func (s *Server) handleOffer(_ string, req *wire.Packet) (*wire.Packet, error) {
+	var st Stamped
+	if err := req.Decode(&st); err != nil {
+		return nil, err
+	}
+	s.metrics.Counter("gossip.offer.received").Inc()
+	var holders []string
+	cmpName := CmpCounter
+	s.mu.Lock()
+	for _, r := range s.regs {
+		if r.Key == st.Key && r.Addr != st.Origin {
+			holders = append(holders, r.Addr)
+			cmpName = r.Comparator
 		}
+	}
+	cmp := comparator(cmpName)
+	last, seen := s.relayed[st.Key]
+	relay := len(holders) > 0 && (!seen || cmp(st, last) > 0)
+	if relay {
+		s.relayed[st.Key] = st
+	}
+	s.mu.Unlock()
+	if relay {
+		s.metrics.Counter("gossip.offer.relayed").Inc()
+		for _, h := range holders {
+			s.pushes.add(h, st.Key, fresh{Stamped: st, cmp: cmp})
+		}
+	}
+	return wire.Reply(MsgOffer, nil), nil
+}
+
+// push is the push sender's send: one pipelined MsgPutState per copy to
+// holder, each rooted in its own gossip.push trace as SyncRound roots
+// gossip.sync_round. Only polls judge liveness, so a failed push evicts
+// nothing; the key's next sync round repairs it.
+func (s *Server) push(holder string, batch []fresh) {
+	if !s.startSend() {
+		return
+	}
+	defer s.sends.Done()
+	spans := make([]wire.ActiveSpan, len(batch))
+	calls := make([]*wire.PendingCall, len(batch))
+	for i, c := range batch {
+		spans[i] = wire.StartSpan(s.cfg.Tracer, "gossip.push", wire.TraceContext{})
+		spans[i].Annotate("key", c.Key)
+		req := wire.NewRequest(MsgPutState, c.Stamped)
+		req.Trace = spans[i].Context()
+		calls[i] = s.client.Go(holder, req, s.cfg.CallTimeout)
+	}
+	s.metrics.Counter("gossip.push.sent").Add(int64(len(batch)))
+	for i, call := range calls {
+		resp, err := call.Wait()
+		if err != nil {
+			s.metrics.Counter("gossip.push.fail").Inc()
+			spans[i].End("error")
+			continue
+		}
+		resp.Release()
+		spans[i].End("ok")
 	}
 }
 
@@ -481,7 +434,6 @@ func (s *Server) SyncRound() {
 	for _, r := range s.regs {
 		byKey[r.Key] = append(byKey[r.Key], r)
 	}
-	s.rounds++
 	s.mu.Unlock()
 	s.metrics.Counter("gossip.sync.rounds").Inc()
 
@@ -510,10 +462,7 @@ func (s *Server) SyncRound() {
 // syncKey polls every holder of key, identifies the freshest copy by
 // pairwise comparison, and pushes it to the stale holders.
 func (s *Server) syncKey(tc wire.TraceContext, key string, regs []Registration) {
-	cmp, ok := LookupComparator(regs[0].Comparator)
-	if !ok {
-		cmp, _ = LookupComparator(CmpCounter)
-	}
+	cmp := comparator(regs[0].Comparator)
 	type copyOf struct {
 		reg   Registration
 		stamp Stamped

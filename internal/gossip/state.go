@@ -3,10 +3,11 @@
 //
 // Application components register with a Gossip process, supplying a
 // contact address, a unique message type (a state key), and a freshness
-// comparator. Once registered, a component periodically receives requests
-// from its responsible Gossip to send a fresh copy of its current state;
-// the Gossip compares copies from all components holding the same key and
-// pushes a fresh update to any component whose copy is out of date.
+// comparator. A component that changes a key offers its new copy to the
+// Gossips it registered the key with, which push it on to every other
+// holder of the key at once. Periodic synchronization rounds repair what
+// a lost offer or push missed: the responsible Gossip polls every holder,
+// compares the copies, and pushes the freshest to any stale holder.
 //
 // Gossip processes cooperate as a distributed service: the pool
 // membership is maintained by the NWS clique protocol
@@ -103,6 +104,15 @@ func LookupComparator(name string) (Comparator, bool) {
 	defer cmpMu.RUnlock()
 	c, ok := comparators[name]
 	return c, ok
+}
+
+// comparator resolves a comparator name, falling back to CmpCounter.
+func comparator(name string) Comparator {
+	if c, ok := LookupComparator(name); ok {
+		return c
+	}
+	c, _ := LookupComparator(CmpCounter)
+	return c
 }
 
 // Registration records one application component's interest in a state
