@@ -56,34 +56,36 @@ func BenchmarkTimeoutPolicy(b *testing.B) {
 	}
 }
 
+// gridSeries is a piecewise-stationary series with contention spikes,
+// the NWS's target regime.
+func gridSeries(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, n)
+	level := 100.0
+	for i := range out {
+		if rng.Float64() < 0.01 {
+			level = 50 + rng.Float64()*200 // regime change
+		}
+		v := level + rng.NormFloat64()*5
+		if rng.Float64() < 0.05 {
+			v *= 5 // contention spike
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // BenchmarkBatteryAccuracy is the design-choice ablation DESIGN.md calls
 // out: does dynamic best-method selection actually beat a fixed method on
-// a Grid-like series? The series is piecewise-stationary with spikes — the
-// NWS's target regime. Metrics report mean absolute error of the
+// a Grid-like series (gridSeries)? Metrics report mean absolute error of the
 // dynamically selected forecast vs the last-value baseline.
 func BenchmarkBatteryAccuracy(b *testing.B) {
-	mkSeries := func(n int, seed int64) []float64 {
-		rng := rand.New(rand.NewSource(seed))
-		out := make([]float64, n)
-		level := 100.0
-		for i := range out {
-			if rng.Float64() < 0.01 {
-				level = 50 + rng.Float64()*200 // regime change
-			}
-			v := level + rng.NormFloat64()*5
-			if rng.Float64() < 0.05 {
-				v *= 5 // contention spike
-			}
-			out[i] = v
-		}
-		return out
-	}
 	var selErr, lastErr float64
 	var count int
 	for i := 0; i < b.N; i++ {
-		series := mkSeries(2000, int64(i+1))
+		series := gridSeries(2000, int64(i+1))
 		sel := NewSelector()
-		last := NewLastValue()
+		last := solo(NewLastValue())
 		for _, v := range series {
 			if f, ok := sel.Forecast(); ok {
 				d := f.Value - v

@@ -13,181 +13,187 @@ package forecast
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Method is one lightweight time-series forecasting technique. A Method
-// observes successive measurements via Update and predicts the next value
-// via Predict. Implementations are not safe for concurrent use; the
-// Selector serializes access.
+// Method is one lightweight time-series forecasting technique. The
+// measurements themselves live in the Selector's History, shared by the
+// whole battery; a Method keeps only the running state it cannot recompute
+// from the last Window() of them. Implementations are not safe for
+// concurrent use; the Selector serializes access.
 type Method interface {
 	// Name identifies the technique, e.g. "sliding_median_10".
 	Name() string
-	// Update feeds the next measurement.
-	Update(v float64)
+	// Window is how many of the newest measurements the method reads from
+	// the History (0 for none); the Selector's ring keeps the battery's
+	// largest.
+	Window() int
+	// Update feeds the next measurement v. h does not yet hold v.
+	Update(h *History, v float64)
 	// Predict returns the forecast for the next measurement. ok is false
 	// until the method has seen enough data to predict.
-	Predict() (v float64, ok bool)
+	Predict(h *History) (v float64, ok bool)
+}
+
+// History is one series' ring of recent measurements.
+type History struct {
+	buf []float64
+	n   int // measurements ever pushed
+}
+
+// Len reports how many measurements the series has seen.
+func (h *History) Len() int { return h.n }
+
+// Back returns the i-th newest measurement; Back(0) is the latest.
+func (h *History) Back(i int) float64 { return h.buf[(h.n-1-i)%len(h.buf)] }
+
+// Last appends the newest k measurements (fewer if fewer were seen) to
+// dst, oldest first.
+func (h *History) Last(dst []float64, k int) []float64 {
+	k = min(k, h.n, len(h.buf))
+	start := (h.n - k) % len(h.buf)
+	if wrap := start + k - len(h.buf); wrap > 0 {
+		return append(append(dst, h.buf[start:]...), h.buf[:wrap]...)
+	}
+	return append(dst, h.buf[start:start+k]...)
+}
+
+func (h *History) push(v float64) {
+	h.buf[h.n%len(h.buf)] = v
+	h.n++
 }
 
 // lastValue predicts the most recent measurement.
-type lastValue struct {
-	v    float64
-	seen bool
-}
+type lastValue struct{}
 
 // NewLastValue returns the last-value forecaster.
-func NewLastValue() Method { return &lastValue{} }
+func NewLastValue() Method { return lastValue{} }
 
-func (m *lastValue) Name() string { return "last_value" }
-func (m *lastValue) Update(v float64) {
-	m.v, m.seen = v, true
+func (lastValue) Name() string             { return "last_value" }
+func (lastValue) Window() int              { return 1 }
+func (lastValue) Update(*History, float64) {}
+func (lastValue) Predict(h *History) (float64, bool) {
+	if h.Len() == 0 {
+		return 0, false
+	}
+	return h.Back(0), true
 }
-func (m *lastValue) Predict() (float64, bool) { return m.v, m.seen }
 
 // runningMean predicts the mean of the entire history.
-type runningMean struct {
-	sum float64
-	n   int
-}
+type runningMean struct{ sum float64 }
 
 // NewRunningMean returns the running (cumulative) mean forecaster.
 func NewRunningMean() Method { return &runningMean{} }
 
-func (m *runningMean) Name() string { return "running_mean" }
-func (m *runningMean) Update(v float64) {
-	m.sum += v
-	m.n++
-}
-func (m *runningMean) Predict() (float64, bool) {
-	if m.n == 0 {
+func (m *runningMean) Name() string                 { return "running_mean" }
+func (m *runningMean) Window() int                  { return 0 }
+func (m *runningMean) Update(_ *History, v float64) { m.sum += v }
+func (m *runningMean) Predict(h *History) (float64, bool) {
+	if h.Len() == 0 {
 		return 0, false
 	}
-	return m.sum / float64(m.n), true
-}
-
-// window is a fixed-size circular buffer shared by the sliding methods.
-type window struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-func newWindow(k int) *window { return &window{buf: make([]float64, k)} }
-
-func (w *window) push(v float64) {
-	w.buf[w.next] = v
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.full = true
-	}
-}
-
-func (w *window) count() int {
-	if w.full {
-		return len(w.buf)
-	}
-	return w.next
-}
-
-// values returns the live measurements, oldest order not preserved.
-func (w *window) values() []float64 {
-	if w.full {
-		return w.buf
-	}
-	return w.buf[:w.next]
+	return m.sum / float64(h.Len()), true
 }
 
 // slidingMean predicts the mean over the last k measurements.
 type slidingMean struct {
-	w   *window
 	sum float64
 	k   int
 }
 
 // NewSlidingMean returns a sliding-window mean forecaster over k samples.
-func NewSlidingMean(k int) Method {
-	return &slidingMean{w: newWindow(k), k: k}
-}
+func NewSlidingMean(k int) Method { return &slidingMean{k: k} }
 
 func (m *slidingMean) Name() string { return fmt.Sprintf("sliding_mean_%d", m.k) }
-func (m *slidingMean) Update(v float64) {
-	if m.w.full {
-		m.sum -= m.w.buf[m.w.next]
+func (m *slidingMean) Window() int  { return m.k }
+func (m *slidingMean) Update(h *History, v float64) {
+	if h.Len() >= m.k {
+		m.sum -= h.Back(m.k - 1)
 	}
 	m.sum += v
-	m.w.push(v)
 }
-func (m *slidingMean) Predict() (float64, bool) {
-	n := m.w.count()
+func (m *slidingMean) Predict(h *History) (float64, bool) {
+	n := min(h.Len(), m.k)
 	if n == 0 {
 		return 0, false
 	}
 	return m.sum / float64(n), true
 }
 
+// sortedLast returns the newest k measurements sorted, in buf when they
+// fit. Measurement j starts in slot j%k, as in a ring of its own: one
+// slot changes per call, so successive sorts see nearly the same input
+// and run faster than on a window shifted by one each time.
+func sortedLast(h *History, k int, buf []float64) []float64 {
+	k = min(k, h.n, len(h.buf))
+	w := append(buf[:0], make([]float64, k)...)
+	p, q := (h.n-k)%len(h.buf), (h.n-k)%max(k, 1)
+	for range k {
+		w[q] = h.buf[p]
+		if p++; p == len(h.buf) {
+			p = 0
+		}
+		if q++; q == k {
+			q = 0
+		}
+	}
+	slices.Sort(w)
+	return w
+}
+
 // slidingMedian predicts the median over the last k measurements. Medians
 // are the NWS workhorse for noisy Grid measurements because they resist
 // the transient spikes that contention produces.
-type slidingMedian struct {
-	w       *window
-	k       int
-	scratch []float64
-}
+type slidingMedian struct{ k int }
 
 // NewSlidingMedian returns a sliding-window median forecaster over k
 // samples.
-func NewSlidingMedian(k int) Method {
-	return &slidingMedian{w: newWindow(k), k: k, scratch: make([]float64, 0, k)}
-}
+func NewSlidingMedian(k int) Method { return slidingMedian{k} }
 
-func (m *slidingMedian) Name() string     { return fmt.Sprintf("sliding_median_%d", m.k) }
-func (m *slidingMedian) Update(v float64) { m.w.push(v) }
-func (m *slidingMedian) Predict() (float64, bool) {
-	n := m.w.count()
+func (m slidingMedian) Name() string             { return fmt.Sprintf("sliding_median_%d", m.k) }
+func (m slidingMedian) Window() int              { return m.k }
+func (m slidingMedian) Update(*History, float64) {}
+func (m slidingMedian) Predict(h *History) (float64, bool) {
+	var buf [32]float64
+	w := sortedLast(h, m.k, buf[:])
+	n := len(w)
 	if n == 0 {
 		return 0, false
 	}
-	m.scratch = append(m.scratch[:0], m.w.values()...)
-	sort.Float64s(m.scratch)
 	if n%2 == 1 {
-		return m.scratch[n/2], true
+		return w[n/2], true
 	}
-	return (m.scratch[n/2-1] + m.scratch[n/2]) / 2, true
+	return (w[n/2-1] + w[n/2]) / 2, true
 }
 
 // trimmedMean predicts the mean of the central values of the last k
 // measurements after discarding the trim fraction at each extreme.
 type trimmedMean struct {
-	w       *window
-	k       int
-	trim    float64
-	scratch []float64
+	k    int
+	trim float64
 }
 
 // NewTrimmedMean returns a sliding trimmed-mean forecaster over k samples,
 // trimming the given fraction (0..0.5) from each tail.
-func NewTrimmedMean(k int, trim float64) Method {
-	return &trimmedMean{w: newWindow(k), k: k, trim: trim, scratch: make([]float64, 0, k)}
-}
+func NewTrimmedMean(k int, trim float64) Method { return trimmedMean{k, trim} }
 
-func (m *trimmedMean) Name() string     { return fmt.Sprintf("trimmed_mean_%d_%g", m.k, m.trim) }
-func (m *trimmedMean) Update(v float64) { m.w.push(v) }
-func (m *trimmedMean) Predict() (float64, bool) {
-	n := m.w.count()
+func (m trimmedMean) Name() string             { return fmt.Sprintf("trimmed_mean_%d_%g", m.k, m.trim) }
+func (m trimmedMean) Window() int              { return m.k }
+func (m trimmedMean) Update(*History, float64) {}
+func (m trimmedMean) Predict(h *History) (float64, bool) {
+	var buf [32]float64
+	w := sortedLast(h, m.k, buf[:])
+	n := len(w)
 	if n == 0 {
 		return 0, false
 	}
-	m.scratch = append(m.scratch[:0], m.w.values()...)
-	sort.Float64s(m.scratch)
 	cut := int(float64(n) * m.trim)
 	lo, hi := cut, n-cut
 	if lo >= hi { // degenerate: fall back to median
 		lo, hi = n/2, n/2+1
 	}
 	sum := 0.0
-	for _, v := range m.scratch[lo:hi] {
+	for _, v := range w[lo:hi] {
 		sum += v
 	}
 	return sum / float64(hi-lo), true
@@ -197,7 +203,6 @@ func (m *trimmedMean) Predict() (float64, bool) {
 type expSmooth struct {
 	alpha float64
 	f     float64
-	seen  bool
 }
 
 // NewExpSmooth returns an exponential smoothing forecaster with gain
@@ -205,14 +210,15 @@ type expSmooth struct {
 func NewExpSmooth(alpha float64) Method { return &expSmooth{alpha: alpha} }
 
 func (m *expSmooth) Name() string { return fmt.Sprintf("exp_smooth_%g", m.alpha) }
-func (m *expSmooth) Update(v float64) {
-	if !m.seen {
-		m.f, m.seen = v, true
+func (m *expSmooth) Window() int  { return 0 }
+func (m *expSmooth) Update(h *History, v float64) {
+	if h.Len() == 0 {
+		m.f = v
 		return
 	}
 	m.f = m.alpha*v + (1-m.alpha)*m.f
 }
-func (m *expSmooth) Predict() (float64, bool) { return m.f, m.seen }
+func (m *expSmooth) Predict(h *History) (float64, bool) { return m.f, h.Len() > 0 }
 
 // adaptSmooth is exponential smoothing whose gain is nudged up after a
 // large error and down after a small one, tracking regime changes faster
@@ -220,16 +226,16 @@ func (m *expSmooth) Predict() (float64, bool) { return m.f, m.seen }
 type adaptSmooth struct {
 	alpha float64
 	f     float64
-	seen  bool
 }
 
 // NewAdaptSmooth returns the gain-adaptive exponential smoother.
 func NewAdaptSmooth() Method { return &adaptSmooth{alpha: 0.2} }
 
 func (m *adaptSmooth) Name() string { return "adaptive_smooth" }
-func (m *adaptSmooth) Update(v float64) {
-	if !m.seen {
-		m.f, m.seen = v, true
+func (m *adaptSmooth) Window() int  { return 0 }
+func (m *adaptSmooth) Update(h *History, v float64) {
+	if h.Len() == 0 {
+		m.f = v
 		return
 	}
 	err := v - m.f
@@ -248,53 +254,40 @@ func (m *adaptSmooth) Update(v float64) {
 	}
 	m.f = m.alpha*v + (1-m.alpha)*m.f
 }
-func (m *adaptSmooth) Predict() (float64, bool) { return m.f, m.seen }
+func (m *adaptSmooth) Predict(h *History) (float64, bool) { return m.f, h.Len() > 0 }
 
 // ar1 predicts with a first-order autoregressive model fitted by least
 // squares over a sliding window: v' = mean + phi*(v - mean). When the
 // series has little serial correlation the model degrades gracefully to
 // the window mean.
-type ar1 struct {
-	w *window
-	k int
-	// prev holds the window's values in arrival order for lag-1 pairs.
-	ordered []float64
-}
+type ar1 struct{ k int }
 
 // NewAR1 returns a windowed AR(1) forecaster over k samples (k >= 4).
-func NewAR1(k int) Method {
-	if k < 4 {
-		k = 4
-	}
-	return &ar1{w: newWindow(k), k: k}
-}
+func NewAR1(k int) Method { return ar1{max(k, 4)} }
 
-func (m *ar1) Name() string { return fmt.Sprintf("ar1_%d", m.k) }
-func (m *ar1) Update(v float64) {
-	m.w.push(v)
-	m.ordered = append(m.ordered, v)
-	if len(m.ordered) > m.k {
-		m.ordered = m.ordered[len(m.ordered)-m.k:]
-	}
-}
-func (m *ar1) Predict() (float64, bool) {
-	n := len(m.ordered)
+func (m ar1) Name() string             { return fmt.Sprintf("ar1_%d", m.k) }
+func (m ar1) Window() int              { return m.k }
+func (m ar1) Update(*History, float64) {}
+func (m ar1) Predict(h *History) (float64, bool) {
+	var buf [32]float64
+	ordered := h.Last(buf[:0], m.k) // lag-1 pairs need arrival order
+	n := len(ordered)
 	if n == 0 {
 		return 0, false
 	}
 	if n < 4 {
-		return m.ordered[n-1], true
+		return ordered[n-1], true
 	}
 	mean := 0.0
-	for _, v := range m.ordered {
+	for _, v := range ordered {
 		mean += v
 	}
 	mean /= float64(n)
 	var num, den float64
 	for i := 1; i < n; i++ {
-		num += (m.ordered[i] - mean) * (m.ordered[i-1] - mean)
+		num += (ordered[i] - mean) * (ordered[i-1] - mean)
 	}
-	for _, v := range m.ordered {
+	for _, v := range ordered {
 		den += (v - mean) * (v - mean)
 	}
 	phi := 0.0
@@ -308,11 +301,11 @@ func (m *ar1) Predict() (float64, bool) {
 	if phi < -1 {
 		phi = -1
 	}
-	p := mean + phi*(m.ordered[n-1]-mean)
+	p := mean + phi*(ordered[n-1]-mean)
 	// Keep the prediction inside the window's observed range; an AR(1)
 	// extrapolation beyond it is noise on Grid series.
-	lo, hi := m.ordered[0], m.ordered[0]
-	for _, v := range m.ordered {
+	lo, hi := ordered[0], ordered[0]
+	for _, v := range ordered {
 		if v < lo {
 			lo = v
 		}

@@ -7,14 +7,25 @@ import (
 	"testing/quick"
 )
 
-func feed(m Method, vs ...float64) {
+// soloMethod runs one Method through a one-method Selector; Predict is
+// that method's standing prediction.
+type soloMethod struct{ *Selector }
+
+func solo(m Method) soloMethod { return soloMethod{NewSelector(m)} }
+
+func (s soloMethod) Predict() (float64, bool) {
+	f, ok := s.Forecast()
+	return f.Value, ok
+}
+
+func feed(m soloMethod, vs ...float64) {
 	for _, v := range vs {
 		m.Update(v)
 	}
 }
 
 func TestLastValue(t *testing.T) {
-	m := NewLastValue()
+	m := solo(NewLastValue())
 	if _, ok := m.Predict(); ok {
 		t.Fatal("predict before data must fail")
 	}
@@ -25,7 +36,7 @@ func TestLastValue(t *testing.T) {
 }
 
 func TestRunningMean(t *testing.T) {
-	m := NewRunningMean()
+	m := solo(NewRunningMean())
 	feed(m, 2, 4, 6, 8)
 	if v, _ := m.Predict(); v != 5 {
 		t.Fatalf("got %v want 5", v)
@@ -33,7 +44,7 @@ func TestRunningMean(t *testing.T) {
 }
 
 func TestSlidingMeanWindowEviction(t *testing.T) {
-	m := NewSlidingMean(3)
+	m := solo(NewSlidingMean(3))
 	feed(m, 100, 1, 2, 3) // 100 must fall out of the window
 	if v, _ := m.Predict(); v != 2 {
 		t.Fatalf("got %v want 2", v)
@@ -41,7 +52,7 @@ func TestSlidingMeanWindowEviction(t *testing.T) {
 }
 
 func TestSlidingMeanPartialWindow(t *testing.T) {
-	m := NewSlidingMean(10)
+	m := solo(NewSlidingMean(10))
 	feed(m, 4, 6)
 	if v, _ := m.Predict(); v != 5 {
 		t.Fatalf("got %v want 5", v)
@@ -49,7 +60,7 @@ func TestSlidingMeanPartialWindow(t *testing.T) {
 }
 
 func TestSlidingMedianOdd(t *testing.T) {
-	m := NewSlidingMedian(5)
+	m := solo(NewSlidingMedian(5))
 	feed(m, 9, 1, 5, 3, 7)
 	if v, _ := m.Predict(); v != 5 {
 		t.Fatalf("got %v want 5", v)
@@ -57,7 +68,7 @@ func TestSlidingMedianOdd(t *testing.T) {
 }
 
 func TestSlidingMedianEvenCount(t *testing.T) {
-	m := NewSlidingMedian(5)
+	m := solo(NewSlidingMedian(5))
 	feed(m, 1, 3, 5, 7)
 	if v, _ := m.Predict(); v != 4 {
 		t.Fatalf("got %v want 4", v)
@@ -65,7 +76,7 @@ func TestSlidingMedianEvenCount(t *testing.T) {
 }
 
 func TestSlidingMedianResistsSpike(t *testing.T) {
-	m := NewSlidingMedian(5)
+	m := solo(NewSlidingMedian(5))
 	feed(m, 10, 10, 1e9, 10, 10)
 	if v, _ := m.Predict(); v != 10 {
 		t.Fatalf("median with spike = %v, want 10", v)
@@ -73,7 +84,7 @@ func TestSlidingMedianResistsSpike(t *testing.T) {
 }
 
 func TestTrimmedMeanDiscardsTails(t *testing.T) {
-	m := NewTrimmedMean(4, 0.25)
+	m := solo(NewTrimmedMean(4, 0.25))
 	feed(m, 0, 10, 10, 1000)
 	if v, _ := m.Predict(); v != 10 {
 		t.Fatalf("got %v want 10", v)
@@ -82,7 +93,7 @@ func TestTrimmedMeanDiscardsTails(t *testing.T) {
 
 func TestTrimmedMeanDegenerateTrim(t *testing.T) {
 	// Trim so aggressive that the slice empties: must fall back sanely.
-	m := NewTrimmedMean(2, 0.5)
+	m := solo(NewTrimmedMean(2, 0.5))
 	feed(m, 1, 3)
 	if v, ok := m.Predict(); !ok || math.IsNaN(v) {
 		t.Fatalf("got %v,%v want finite value", v, ok)
@@ -90,7 +101,7 @@ func TestTrimmedMeanDegenerateTrim(t *testing.T) {
 }
 
 func TestExpSmoothConvergesToConstant(t *testing.T) {
-	m := NewExpSmooth(0.5)
+	m := solo(NewExpSmooth(0.5))
 	for i := 0; i < 50; i++ {
 		m.Update(42)
 	}
@@ -100,7 +111,7 @@ func TestExpSmoothConvergesToConstant(t *testing.T) {
 }
 
 func TestExpSmoothFirstValueSeeds(t *testing.T) {
-	m := NewExpSmooth(0.1)
+	m := solo(NewExpSmooth(0.1))
 	m.Update(7)
 	if v, _ := m.Predict(); v != 7 {
 		t.Fatalf("got %v want 7", v)
@@ -108,8 +119,8 @@ func TestExpSmoothFirstValueSeeds(t *testing.T) {
 }
 
 func TestAdaptSmoothTracksRegimeChange(t *testing.T) {
-	fixed := NewExpSmooth(0.05)
-	adapt := NewAdaptSmooth()
+	fixed := solo(NewExpSmooth(0.05))
+	adapt := solo(NewAdaptSmooth())
 	// Long stable regime at 10, then a jump to 100.
 	for i := 0; i < 100; i++ {
 		fixed.Update(10)
@@ -160,7 +171,8 @@ func TestQuickPredictionsWithinRange(t *testing.T) {
 			hi = math.Max(hi, v)
 		}
 		const eps = 1e-6
-		for _, m := range DefaultBattery() {
+		for _, bm := range DefaultBattery() {
+			m := solo(bm)
 			feed(m, vs...)
 			p, ok := m.Predict()
 			if !ok {
@@ -194,7 +206,7 @@ func TestQuickSlidingWindowForgetsOldData(t *testing.T) {
 			func() Method { return NewSlidingMean(k) },
 			func() Method { return NewSlidingMedian(k) },
 		} {
-			a, b := mk(), mk()
+			a, b := solo(mk()), solo(mk())
 			feed(a, prefix...)
 			feed(a, tail...)
 			feed(b, tail...)
@@ -211,8 +223,8 @@ func TestAR1TracksAutocorrelatedSeries(t *testing.T) {
 	// Strongly autocorrelated series: v[i] = 0.9*v[i-1] + noise. AR(1)
 	// should beat the plain window mean.
 	rng := rand.New(rand.NewSource(21))
-	ar := NewAR1(30)
-	mean := NewSlidingMean(30)
+	ar := solo(NewAR1(30))
+	mean := solo(NewSlidingMean(30))
 	v := 50.0
 	var arErr, meanErr float64
 	for i := 0; i < 500; i++ {
@@ -232,7 +244,7 @@ func TestAR1TracksAutocorrelatedSeries(t *testing.T) {
 }
 
 func TestAR1SmallSamples(t *testing.T) {
-	m := NewAR1(10)
+	m := solo(NewAR1(10))
 	if _, ok := m.Predict(); ok {
 		t.Fatal("no data must not predict")
 	}
@@ -249,7 +261,7 @@ func TestAR1SmallSamples(t *testing.T) {
 }
 
 func TestAR1MinimumWindow(t *testing.T) {
-	m := NewAR1(1) // must normalize to >= 4
+	m := solo(NewAR1(1)) // must normalize to >= 4
 	for i := 0; i < 10; i++ {
 		m.Update(float64(i))
 	}

@@ -23,15 +23,21 @@ type Forecast struct {
 // Selector runs a battery of forecasting methods over one measurement
 // stream, tracks each method's accumulated prediction error, and forecasts
 // with the method that has been most accurate so far — the core of the NWS
-// methodology. Selector is safe for concurrent use.
+// methodology. The battery shares one History, and each method's standing
+// prediction is computed once per Update and cached for Forecast. Selector
+// is safe for concurrent use.
 type Selector struct {
 	mu      sync.Mutex
 	methods []Method
-	sqErr   []float64 // cumulative squared error per method
-	absErr  []float64 // cumulative absolute error per method
-	scored  int       // updates for which errors were recorded
-	samples int
-	last    float64
+	slots   []slot
+	hist    History
+	scored  int // updates for which errors were recorded
+}
+
+// slot is one method's cumulative errors and standing prediction.
+type slot struct {
+	sqErr, absErr, pred float64
+	ok                  bool
 }
 
 // NewSelector returns a Selector over the given battery; if battery is
@@ -40,27 +46,31 @@ func NewSelector(battery ...Method) *Selector {
 	if len(battery) == 0 {
 		battery = DefaultBattery()
 	}
+	size := 1
+	for _, m := range battery {
+		size = max(size, m.Window())
+	}
 	return &Selector{
 		methods: battery,
-		sqErr:   make([]float64, len(battery)),
-		absErr:  make([]float64, len(battery)),
+		slots:   make([]slot, len(battery)),
+		hist:    History{buf: make([]float64, size)},
 	}
 }
 
-// Update feeds measurement v to every method, first scoring each method's
-// standing prediction against v.
+// Update scores every method's standing prediction against measurement v,
+// feeds v to the battery, and caches each method's next prediction.
 func (s *Selector) Update(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	anyPredicted := false
-	for i, m := range s.methods {
-		if p, ok := m.Predict(); ok {
-			e := p - v
-			s.sqErr[i] += e * e
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.ok {
+			e := sl.pred - v
+			sl.sqErr += e * e
 			if e < 0 {
 				e = -e
 			}
-			s.absErr[i] += e
+			sl.absErr += e
 			anyPredicted = true
 		}
 	}
@@ -68,24 +78,29 @@ func (s *Selector) Update(v float64) {
 		s.scored++
 	}
 	for _, m := range s.methods {
-		m.Update(v)
+		m.Update(&s.hist, v)
 	}
-	s.samples++
-	s.last = v
+	s.hist.push(v)
+	for i, m := range s.methods {
+		s.slots[i].pred, s.slots[i].ok = m.Predict(&s.hist)
+	}
 }
 
 // Samples reports how many measurements the Selector has seen.
 func (s *Selector) Samples() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.samples
+	return s.hist.Len()
 }
 
 // Last returns the most recent measurement (0, false before any Update).
 func (s *Selector) Last() (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.last, s.samples > 0
+	if s.hist.Len() == 0 {
+		return 0, false
+	}
+	return s.hist.Back(0), true
 }
 
 // Forecast returns the prediction of the method with the lowest mean
@@ -105,22 +120,14 @@ func (s *Selector) ForecastMAE() (Forecast, bool) {
 func (s *Selector) forecast(useMAE bool) (Forecast, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.samples == 0 {
-		return Forecast{}, false
-	}
 	best := -1
 	bestErr := math.Inf(1)
-	for i, m := range s.methods {
-		if _, ok := m.Predict(); !ok {
-			continue
-		}
-		var e float64
+	for i, sl := range s.slots {
+		e := sl.sqErr
 		if useMAE {
-			e = s.absErr[i]
-		} else {
-			e = s.sqErr[i]
+			e = sl.absErr
 		}
-		if e < bestErr {
+		if sl.ok && e < bestErr {
 			bestErr = e
 			best = i
 		}
@@ -128,14 +135,13 @@ func (s *Selector) forecast(useMAE bool) (Forecast, bool) {
 	if best < 0 {
 		return Forecast{}, false
 	}
-	v, _ := s.methods[best].Predict()
 	n := float64(max(s.scored, 1))
 	return Forecast{
-		Value:   v,
+		Value:   s.slots[best].pred,
 		Method:  s.methods[best].Name(),
-		MSE:     s.sqErr[best] / n,
-		MAE:     s.absErr[best] / n,
-		Samples: s.samples,
+		MSE:     s.slots[best].sqErr / n,
+		MAE:     s.slots[best].absErr / n,
+		Samples: s.hist.Len(),
 	}, true
 }
 
@@ -147,7 +153,7 @@ func (s *Selector) Errors() map[string][2]float64 {
 	out := make(map[string][2]float64, len(s.methods))
 	n := float64(max(s.scored, 1))
 	for i, m := range s.methods {
-		out[m.Name()] = [2]float64{s.sqErr[i] / n, s.absErr[i] / n}
+		out[m.Name()] = [2]float64{s.slots[i].sqErr / n, s.slots[i].absErr / n}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package forecast
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -222,5 +223,34 @@ func TestTimeoutPolicyAdaptsUpwardAfterTimeouts(t *testing.T) {
 	after := p.Timeout(k)
 	if after <= before {
 		t.Fatalf("timeout did not adapt upward: %v -> %v", before, after)
+	}
+}
+
+// TestSelectorFootprint gates the live heap one forecast series costs:
+// the scheduler keeps a Selector per client, so this is its per-client
+// forecasting state.
+func TestSelectorFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap")
+	}
+	const series, perSeries = 2000, 1700
+	rng := rand.New(rand.NewSource(1))
+	sels := make([]*Selector, series)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range sels {
+		sels[i] = NewSelector()
+		for j := 0; j < 60; j++ {
+			sels[i].Update(rng.Float64() * 100)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sels)
+	got := float64(after.HeapAlloc-before.HeapAlloc) / series
+	t.Logf("%.0f B per series", got)
+	if got > perSeries {
+		t.Fatalf("%.0f B per series, want at most %d", got, perSeries)
 	}
 }

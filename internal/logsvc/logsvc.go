@@ -78,26 +78,30 @@ func DecodeEntry(p []byte) (Entry, error) {
 }
 
 func decodeEntryFrom(d *wire.Decoder) (Entry, error) {
-	var en Entry
-	var err error
-	if en.Unix, err = d.Int64(); err != nil {
-		return en, err
+	unix, f, err := entryFields(d)
+	return Entry{Unix: unix, Source: string(f[0]), Level: string(f[1]), Line: string(f[2])}, err
+}
+
+// entryFields reads one encoded entry without copying it: the timestamp
+// and views of Source, Level and Line.
+func entryFields(d *wire.Decoder) (unix int64, f [3][]byte, err error) {
+	if unix, err = d.Int64(); err != nil {
+		return
 	}
-	if en.Source, err = d.String(); err != nil {
-		return en, err
+	for i := range f {
+		if f[i], err = d.BytesView(); err != nil {
+			return
+		}
 	}
-	if en.Level, err = d.String(); err != nil {
-		return en, err
-	}
-	en.Line, err = d.String()
-	return en, err
+	return
 }
 
 // ServerConfig parameterizes a logging server.
 type ServerConfig struct {
 	// ListenAddr is the bind address (":0" for ephemeral).
 	ListenAddr string
-	// MaxEntries bounds the in-memory ring buffer (default 65536).
+	// MaxEntries bounds the in-memory ring buffer (default 65536). The
+	// ring fills as entries arrive, each held in its wire encoding.
 	MaxEntries int
 	// File, if set, appends entries as text lines to this path.
 	File string
@@ -125,18 +129,16 @@ type Server struct {
 	reg *telemetry.Registry
 
 	mu        sync.Mutex
-	ring      []Entry
-	next      int
-	full      bool
+	ring      []string // encoded entries, grown up to MaxEntries
+	next      int      // oldest slot once the ring is full
 	appended  int64
 	dropped   int64
 	evicted   int64
 	fileBytes int64
 	f         *os.File
 
-	spanRing    []dtrace.Span
+	spanRing    []dtrace.Span // grown up to MaxSpans
 	spanNext    int
-	spanFull    bool
 	spanCount   int64
 	spanEvicted int64
 }
@@ -156,13 +158,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Silent:     true,
 		Tracer:     cfg.Tracer,
 	})
-	s := &Server{
-		cfg:      cfg,
-		svc:      svc,
-		reg:      svc.Metrics(),
-		ring:     make([]Entry, cfg.MaxEntries),
-		spanRing: make([]dtrace.Span, cfg.MaxSpans),
-	}
+	s := &Server{cfg: cfg, svc: svc, reg: svc.Metrics()}
 	if cfg.File != "" {
 		f, err := os.OpenFile(cfg.File, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -205,50 +201,61 @@ func (s *Server) Close() {
 // bounded: once full, each new entry evicts the oldest one and the
 // eviction is counted ("logsvc.dropped"), so log loss under pressure is
 // visible in MsgStats and ew-top rather than silent.
-func (s *Server) Append(en Entry) {
+func (s *Server) Append(en Entry) { _ = s.store(EncodeEntry(en)) } // a fresh encoding is valid
+
+// store validates one encoded entry in full, then records it.
+func (s *Server) store(p []byte) error {
+	d := wire.NewDecoder(p)
+	unix, f, err := entryFields(d)
+	if err != nil {
+		return err
+	}
+	enc := string(p[:len(p)-d.Remaining()])
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.full {
+	if push(&s.ring, &s.next, s.cfg.MaxEntries, enc) {
 		s.evicted++
 		s.reg.Counter("logsvc.dropped").Inc()
 	}
-	s.ring[s.next] = en
-	s.next++
-	if s.next == len(s.ring) {
-		s.next = 0
-		s.full = true
-	}
 	s.appended++
 	if s.f != nil {
-		line := fmt.Sprintf("%d\t%s\t%s\t%s\n", en.Unix, en.Source, en.Level, en.Line)
+		line := fmt.Sprintf("%d\t%s\t%s\t%s\n", unix, f[0], f[1], f[2])
 		if s.cfg.MaxFileBytes > 0 && s.fileBytes+int64(len(line)) > s.cfg.MaxFileBytes {
 			s.dropped++
-			return
+			return nil
 		}
 		if n, err := s.f.WriteString(line); err == nil {
 			s.fileBytes += int64(n)
 		}
 	}
+	return nil
+}
+
+// push adds v to a ring that grows as entries arrive, up to limit
+// entries. Once full it overwrites the oldest, at *next, and reports the
+// eviction. Entry i, oldest first, is ring[(next+i)%len(ring)].
+func push[T any](ring *[]T, next *int, limit int, v T) (evicted bool) {
+	if r := *ring; len(r) < limit {
+		if len(r) == cap(r) {
+			r = append(make([]T, 0, min(limit, 2*len(r)+16)), r...)
+		}
+		*ring = append(r, v)
+		return false
+	}
+	(*ring)[*next] = v
+	*next = (*next + 1) % limit
+	return true
 }
 
 // Tail returns the most recent n entries, oldest first.
 func (s *Server) Tail(n int) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size := s.next
-	if s.full {
-		size = len(s.ring)
-	}
-	if n > size {
-		n = size
-	}
+	n = min(n, len(s.ring))
 	out := make([]Entry, 0, n)
-	start := s.next - n
-	if start < 0 {
-		start += len(s.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, s.ring[(start+i)%len(s.ring)])
+	for i := len(s.ring) - n; i < len(s.ring); i++ {
+		en, _ := DecodeEntry([]byte(s.ring[(s.next+i)%len(s.ring)])) // validated by store
+		out = append(out, en)
 	}
 	return out
 }
@@ -297,15 +304,9 @@ func (s *Server) CollectSpans(spans []dtrace.Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sp := range spans {
-		if s.spanFull {
+		if push(&s.spanRing, &s.spanNext, s.cfg.MaxSpans, sp) {
 			s.spanEvicted++
 			s.reg.Counter("logsvc.trace.dropped").Inc()
-		}
-		s.spanRing[s.spanNext] = sp
-		s.spanNext++
-		if s.spanNext == len(s.spanRing) {
-			s.spanNext = 0
-			s.spanFull = true
 		}
 		s.spanCount++
 	}
@@ -319,17 +320,9 @@ func (s *Server) CollectSpans(spans []dtrace.Span) {
 func (s *Server) Spans(max int, traceID uint64) []dtrace.Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size := s.spanNext
-	if s.spanFull {
-		size = len(s.spanRing)
-	}
-	start := 0
-	if s.spanFull {
-		start = s.spanNext
-	}
-	out := make([]dtrace.Span, 0, size)
-	for i := 0; i < size; i++ {
-		sp := s.spanRing[(start+i)%len(s.spanRing)]
+	out := make([]dtrace.Span, 0, len(s.spanRing))
+	for i := range s.spanRing {
+		sp := s.spanRing[(s.spanNext+i)%len(s.spanRing)]
 		if traceID != 0 && sp.TraceID != traceID {
 			continue
 		}
@@ -342,11 +335,9 @@ func (s *Server) Spans(max int, traceID uint64) []dtrace.Span {
 }
 
 func (s *Server) handleAppend(_ string, req *wire.Packet) (*wire.Packet, error) {
-	en, err := DecodeEntry(req.Payload)
-	if err != nil {
+	if err := s.store(req.Payload); err != nil {
 		return nil, err
 	}
-	s.Append(en)
 	return wire.Reply(MsgAppend, nil), nil
 }
 

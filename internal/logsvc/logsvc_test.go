@@ -3,6 +3,7 @@ package logsvc
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,84 @@ func TestFilePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRingGrowsLazilyUpToBound: the entry ring fills as entries arrive,
+// keeps its order across growth and wrap, and never holds room for more
+// than MaxEntries.
+func TestRingGrowsLazilyUpToBound(t *testing.T) {
+	s := newTestServer(t, ServerConfig{MaxEntries: 5})
+	for i := 0; i < 3; i++ {
+		s.Append(Entry{Unix: int64(i), Source: "s", Level: "info", Line: "x"})
+	}
+	if c := cap(s.ring); c > 5 {
+		t.Fatalf("ring cap %d exceeds MaxEntries 5", c)
+	}
+	if got := s.Tail(10); len(got) != 3 || got[0].Unix != 0 || got[2].Unix != 2 || got[1].Source != "s" {
+		t.Fatalf("after 3 appends: %+v", got)
+	}
+	for i := 3; i < 7; i++ {
+		s.Append(Entry{Unix: int64(i), Line: "x"})
+		if c := cap(s.ring); c > 5 {
+			t.Fatalf("ring cap %d exceeds MaxEntries 5", c)
+		}
+	}
+	got := s.Tail(10)
+	if len(got) != 5 {
+		t.Fatalf("after 7 appends: %d entries", len(got))
+	}
+	for i, en := range got {
+		if en.Unix != int64(i+2) {
+			t.Fatalf("after 7 appends: %+v", got)
+		}
+	}
+	if d := s.StatsDetail(); d.RingDropped != 2 {
+		t.Fatalf("ring dropped %d want 2", d.RingDropped)
+	}
+}
+
+// TestAppendRejectsTruncatedLine: a MsgAppend whose Line length prefix is
+// cut short fails validation as a whole; nothing is stored or counted.
+func TestAppendRejectsTruncatedLine(t *testing.T) {
+	s := newTestServer(t, ServerConfig{})
+	p := EncodeEntry(Entry{Unix: 1, Source: "src", Level: "perf", Line: "ops=1"})
+	p = p[:len(p)-len("ops=1")-2] // keep two of Line's four prefix bytes
+	if _, err := s.handleAppend("", &wire.Packet{Type: MsgAppend, Payload: p}); err == nil {
+		t.Fatal("truncated Line prefix accepted")
+	}
+	if d := s.StatsDetail(); d.Appended != 0 || len(s.Tail(10)) != 0 {
+		t.Fatalf("rejected append was stored: %+v", d)
+	}
+}
+
+// TestNewServerFootprint: a new server's rings take no room until
+// entries and spans arrive.
+func TestNewServerFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap")
+	}
+	const servers, limit = 4, 64 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle also empties sync.Pool victim caches
+	runtime.ReadMemStats(&before)
+	ss := make([]*Server, servers)
+	for i := range ss {
+		s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss[i] = s
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ss)
+	got := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / servers
+	t.Logf("NewServer retains %d B", got)
+	if got >= limit {
+		t.Fatalf("NewServer retains %d B, want under %d", got, limit)
+	}
+}
+
 // TestRingEvictionCounted: a full entry ring evicts oldest-first and the
 // loss is counted — in StatsDetail and in the "logsvc.dropped" counter
 // that MsgStats and ew-top surface.
@@ -175,7 +254,17 @@ func TestSpanRingBounded(t *testing.T) {
 	for i := range spans {
 		spans[i] = dtrace.Span{TraceID: uint64(1 + i%2), SpanID: uint64(i + 1), Start: int64(i), Name: "op", Outcome: "ok"}
 	}
-	s.CollectSpans(spans)
+	// The ring fills lazily: below the bound it holds what arrived, in order.
+	s.CollectSpans(spans[:3])
+	if got := s.Spans(0, 0); len(got) != 3 || got[0].SpanID != 1 || got[2].SpanID != 3 {
+		t.Fatalf("after 3 spans: %+v", got)
+	}
+	for _, sp := range spans[3:] {
+		s.CollectSpans([]dtrace.Span{sp})
+		if c := cap(s.spanRing); c > 4 {
+			t.Fatalf("span ring cap %d exceeds MaxSpans 4", c)
+		}
+	}
 	got := s.Spans(0, 0)
 	if len(got) != 4 {
 		t.Fatalf("span ring holds %d want 4", len(got))
